@@ -20,6 +20,7 @@ by :mod:`repro.core.scheduler`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -248,17 +249,39 @@ class BlockPartition:
 
     @staticmethod
     def _check_disjoint(ranges, total: int, what: str) -> None:
-        covered = [False] * total
+        """Check that ``(offset, length)`` ranges tile ``[0, total)`` exactly.
+
+        Works on whole intervals, yet reports the first failure a walk of
+        every index (ranges in order, indices ascending) would meet.
+        """
+        starts: List[int] = []  # claimed intervals, sorted and disjoint
+        stops: List[int] = []
         for offset, length in ranges:
-            for index in range(offset, offset + length):
-                if index < 0 or index >= total:
-                    raise PartitioningError(f"{what} index {index} out of range")
-                if covered[index]:
-                    raise PartitioningError(f"{what} {index} assigned to two chips")
-                covered[index] = True
-        if not all(covered):
-            missing = covered.index(False)
-            raise PartitioningError(f"{what} {missing} assigned to no chip")
+            if length <= 0:
+                continue
+            stop = offset + length
+            if offset < 0:
+                raise PartitioningError(f"{what} index {offset} out of range")
+            at = bisect_right(starts, offset)
+            # Every claimed index is below ``total``, so a clash comes
+            # before the first out-of-range index of this range.
+            if at and stops[at - 1] > offset:
+                raise PartitioningError(f"{what} {offset} assigned to two chips")
+            if at < len(starts) and starts[at] < stop:
+                raise PartitioningError(f"{what} {starts[at]} assigned to two chips")
+            if stop > total:
+                raise PartitioningError(
+                    f"{what} index {max(offset, total)} out of range"
+                )
+            starts.insert(at, offset)
+            stops.insert(at, stop)
+        covered = 0
+        for start, stop in zip(starts, stops):
+            if start > covered:
+                break
+            covered = stop
+        if covered < total:
+            raise PartitioningError(f"{what} {covered} assigned to no chip")
 
     # ------------------------------------------------------------------
     # Queries

@@ -25,7 +25,7 @@ from ..errors import (
 )
 from ..graph.workload import Workload
 from .objectives import Measurement, Objective, Sense, get_objective
-from .pareto import Constraint, filter_constraints, pareto_front, parse_constraint
+from .pareto import Constraint, filter_constraints, parse_constraint
 from .space import (
     DesignPoint,
     Point,
@@ -499,9 +499,6 @@ def run_tune(
         resume=resume,
     )
     orchestrator.run()
-    candidates = evaluator.history
-    eligible = filter_constraints(candidates, resolved_constraints)
-    front = tuple(pareto_front(eligible, pareto_objectives))
     return TuneResult(
         workload=workload,
         searcher=algorithm.name,
@@ -510,8 +507,8 @@ def run_tune(
         budget=budget,
         objectives=pareto_objectives,
         constraints=resolved_constraints,
-        candidates=candidates,
-        front=front,
+        candidates=evaluator.history,
+        front=orchestrator.front,
         evaluations_requested=evaluator.evaluations_requested,
         cache=session.cache_info(),
     )

@@ -46,7 +46,7 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 from ..errors import AnalysisError, ReproError, SearchInterrupted
 from .engine import Candidate, DesignEvaluator
 from .objectives import Objective
-from .pareto import Constraint, filter_constraints, pareto_front
+from .pareto import Constraint, _eligible, _non_dominated, objective_vector
 from .space import Point, SearchSpace, materialise, point_key
 
 __all__ = [
@@ -279,6 +279,10 @@ class SearchOrchestrator:
         self.resume = Path(resume) if resume is not None else None
         self._rng = random.Random(seed)
         self._fresh = 0
+        #: The constraint-feasible front of ``evaluator.history[:_merged]``
+        #: as (history position, candidate, folded objective vector).
+        self._front: List[Tuple[int, Candidate, Tuple[float, ...]]] = []
+        self._merged = 0
         self._interrupt_after = self._read_interrupt_hook()
 
     # ------------------------------------------------------------------
@@ -373,14 +377,34 @@ class SearchOrchestrator:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    @property
+    def front(self) -> Tuple[Candidate, ...]:
+        """The constraint-feasible Pareto front of the history, in history order."""
+        return tuple(candidate for _, candidate, _ in self._merge_front())
+
+    def _merge_front(self) -> List[Tuple[int, Candidate, Tuple[float, ...]]]:
+        """Fold the candidates evaluated since the last merge into the front.
+
+        Dominance is a strict partial order, so the front of a grown
+        history is the front of (old front + new candidates): each merge
+        compares only those, never the whole history.  Old members all
+        precede the new candidates, so the result stays in history order.
+        """
+        history = self.evaluator.history
+        added = [
+            (index, candidate, objective_vector(candidate, self.objectives))
+            for index, candidate in enumerate(history[self._merged:], self._merged)
+            if _eligible(candidate, self.constraints)
+        ]
+        self._merged = len(history)
+        if added:
+            pool = self._front + added
+            self._front = [pool[i] for i in _non_dominated([v for _, _, v in pool])]
+        return self._front
+
     def _state(self) -> SearchState:
         candidates = self.evaluator.history
-        eligible = filter_constraints(candidates, self.constraints)
-        front = pareto_front(eligible, self.objectives)
-        positions = {
-            candidate.point: index
-            for index, candidate in enumerate(candidates)
-        }
+        front = tuple(index for index, _, _ in self._merge_front())
         return SearchState(
             searcher=self.algorithm.name,
             seed=self.seed,
@@ -397,7 +421,7 @@ class SearchOrchestrator:
             evaluations_requested=self.evaluator.evaluations_requested,
             rng_state=self._rng.getstate(),
             candidates=candidates,
-            front=tuple(positions[candidate.point] for candidate in front),
+            front=front,
         )
 
     def _write_checkpoint(self) -> None:

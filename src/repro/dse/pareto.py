@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import le, lt
 from typing import List, Sequence, Tuple, TypeVar
 
 from ..errors import AnalysisError, ConfigurationError
@@ -39,6 +40,26 @@ def objective_vector(
     )
 
 
+def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Whether folded vector ``a`` dominates ``b``; no vector dominates itself."""
+    return all(map(le, a, b)) and any(map(lt, a, b))
+
+
+def _non_dominated(vectors: Sequence[Sequence[float]]) -> List[int]:
+    """Positions of the folded vectors no other vector dominates, ascending.
+
+    Equal vectors are all kept.  Each call compares every pair, so the
+    cost is quadratic in ``len(vectors)``; callers that grow a set keep
+    its front and merge only the additions (dominance is a strict
+    partial order, so ``front(S + T) == front(front(S) + T)``).
+    """
+    return [
+        index
+        for index, vector in enumerate(vectors)
+        if not any(_dominates(other, vector) for other in vectors)
+    ]
+
+
 def dominates(a, b, objectives: Sequence[Objective]) -> bool:
     """Whether ``a`` Pareto-dominates ``b`` on the given objectives.
 
@@ -49,11 +70,7 @@ def dominates(a, b, objectives: Sequence[Objective]) -> bool:
         raise AnalysisError("dominance needs at least one objective")
     if not (a.feasible and b.feasible):
         raise AnalysisError("dominance is only defined between feasible candidates")
-    vec_a = objective_vector(a, objectives)
-    vec_b = objective_vector(b, objectives)
-    return all(x <= y for x, y in zip(vec_a, vec_b)) and any(
-        x < y for x, y in zip(vec_a, vec_b)
-    )
+    return _dominates(objective_vector(a, objectives), objective_vector(b, objectives))
 
 
 def pareto_front(
@@ -67,15 +84,8 @@ def pareto_front(
     if not objectives:
         raise AnalysisError("a Pareto front needs at least one objective")
     feasible = [c for c in candidates if c.feasible]
-    front: List[CandidateT] = []
-    for candidate in feasible:
-        if not any(
-            dominates(other, candidate, objectives)
-            for other in feasible
-            if other is not candidate
-        ):
-            front.append(candidate)
-    return front
+    vectors = [objective_vector(c, objectives) for c in feasible]
+    return [feasible[index] for index in _non_dominated(vectors)]
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +144,11 @@ def filter_constraints(
     candidates: Sequence[CandidateT], constraints: Sequence[Constraint]
 ) -> List[CandidateT]:
     """The feasible candidates satisfying every constraint, in input order."""
-    return [
-        candidate
-        for candidate in candidates
-        if candidate.feasible
-        and all(constraint.satisfied_by(candidate) for constraint in constraints)
-    ]
+    return [candidate for candidate in candidates if _eligible(candidate, constraints)]
+
+
+def _eligible(candidate, constraints: Sequence[Constraint]) -> bool:
+    """Whether ``candidate`` is feasible and satisfies every constraint."""
+    return candidate.feasible and all(
+        constraint.satisfied_by(candidate) for constraint in constraints
+    )

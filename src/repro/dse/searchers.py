@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Protocol, Sequence, Tuple, runtime_chec
 
 from ..errors import ConfigurationError, UnknownSearcherError
 from .objectives import Objective
-from .pareto import objective_vector
+from .pareto import _dominates, objective_vector
 from .space import Point, SearchSpace, point_key
 
 __all__ = [
@@ -343,30 +343,20 @@ class EvolutionarySearcher:
 
     @staticmethod
     def _select(population, objectives, mu):
-        feasible = [c for c in population if c.feasible]
+        vectors = [
+            objective_vector(candidate, objectives) if candidate.feasible else None
+            for candidate in population
+        ]
+        feasible = [vector for vector in vectors if vector is not None]
 
-        def rank(entry):
-            index, candidate = entry
-            if not candidate.feasible:
+        def rank(index):
+            vector = vectors[index]
+            if vector is None:
                 return (math.inf, index)
-            vector = objective_vector(candidate, objectives)
-            dominators = sum(
-                1
-                for other in feasible
-                if other is not candidate
-                and all(
-                    x <= y
-                    for x, y in zip(objective_vector(other, objectives), vector)
-                )
-                and any(
-                    x < y
-                    for x, y in zip(objective_vector(other, objectives), vector)
-                )
-            )
-            return (dominators, index)
+            return (sum(_dominates(other, vector) for other in feasible), index)
 
-        ordered = sorted(enumerate(population), key=rank)
-        return [candidate for _, candidate in ordered[:mu]]
+        ordered = sorted(range(len(population)), key=rank)
+        return [population[index] for index in ordered[:mu]]
 
 
 # ----------------------------------------------------------------------
@@ -472,26 +462,23 @@ class _PointEncoder:
     Numeric axes are min-max normalised against their declared bounds
     (or value set); non-numeric choice axes use the choice index.  The
     encoding is a fixed function of the space, so equal runs produce
-    equal design matrices.
+    equal design matrices; each axis's kind, bounds and choice codes are
+    derived once, at construction, rather than on every :meth:`encode`.
     """
 
     def __init__(self, space: SearchSpace) -> None:
-        self.space = space
-
-    def encode(self, point: Point) -> List[float]:
-        vector = []
-        for axis in self.space.axes:
-            value = point[axis.name]
+        #: Per axis: (name, {choice: code}, None, None) for a categorical
+        #: axis, or (name, None, low, span) for a numeric one.
+        self._axes = []
+        for axis in space.axes:
             choices = getattr(axis, "choices", None)
             if choices is not None and any(
                 isinstance(choice, bool) or not isinstance(choice, (int, float))
                 for choice in choices
             ):
-                index = next(
-                    i for i, choice in enumerate(choices) if choice == value
-                )
                 span = max(1, len(choices) - 1)
-                vector.append(index / span)
+                codes = {choice: index / span for index, choice in enumerate(choices)}
+                self._axes.append((axis.name, codes, None, None))
                 continue
             values = (
                 choices
@@ -503,10 +490,15 @@ class _PointEncoder:
                 )
             )
             low = float(min(values))
-            high = float(max(values))
-            span = high - low
-            vector.append((float(value) - low) / span if span > 0 else 0.5)
-        return vector
+            self._axes.append((axis.name, None, low, float(max(values)) - low))
+
+    def encode(self, point: Point) -> List[float]:
+        return [
+            codes[point[name]]
+            if codes is not None
+            else ((float(point[name]) - low) / span if span > 0 else 0.5)
+            for name, codes, low, span in self._axes
+        ]
 
 
 @register_searcher

@@ -102,7 +102,8 @@ class TestPartitionBlock:
 
 
 class TestPartitionValidation:
-    def _chip(self, chip_id, heads, head_offset, ffn, ffn_offset, root=False):
+    def _chip(self, chip_id, heads, head_offset, ffn, ffn_offset, root=False,
+              experts=None, expert_offset=0):
         return ChipPartition(
             chip_id=chip_id,
             num_heads=heads,
@@ -110,6 +111,8 @@ class TestPartitionValidation:
             ffn_cols=ffn,
             ffn_col_offset=ffn_offset,
             is_reduce_root=root,
+            num_experts=experts,
+            expert_offset=expert_offset,
         )
 
     def test_overlapping_heads_rejected(self):
@@ -147,6 +150,94 @@ class TestPartitionValidation:
         )
         with pytest.raises(PartitioningError, match="ordered"):
             BlockPartition(config=config, num_chips=2, chips=chips)
+
+    # Coverage failures name the first bad index a walk of every index
+    # would meet.  Mobilebert has 4 heads and 512 FFN columns; the MoE
+    # config has 4 experts.  Head and FFN ranges must also sum to the
+    # total, so their "no chip" case is reachable only through the check.
+    def _dense(self, heads, ffn):
+        (h0, o0), (h1, o1) = heads
+        (f0, p0), (f1, p1) = ffn
+        return BlockPartition(
+            config=mobilebert(),
+            num_chips=2,
+            chips=(
+                self._chip(0, h0, o0, f0, p0, root=True),
+                self._chip(1, h1, o1, f1, p1),
+            ),
+        )
+
+    def _moe(self, experts):
+        from dataclasses import replace
+
+        config = replace(tinyllama_42m(), num_experts=4, moe_top_k=2)
+        (e0, o0), (e1, o1) = experts
+        return BlockPartition(
+            config=config,
+            num_chips=2,
+            chips=(
+                self._chip(0, 4, 0, config.ffn_dim, 0, root=True,
+                           experts=e0, expert_offset=o0),
+                self._chip(1, 4, 4, config.ffn_dim, 0,
+                           experts=e1, expert_offset=o1),
+            ),
+        )
+
+    def _raises(self, message):
+        return pytest.raises(PartitioningError, match=f"^{message}$")
+
+    def test_head_out_of_range(self):
+        with self._raises("head index 4 out of range"):
+            self._dense(heads=((2, 0), (2, 3)), ffn=((256, 0), (256, 256)))
+
+    def test_negative_head_offset_out_of_range(self):
+        with self._raises("head index -1 out of range"):
+            self._dense(heads=((2, -1), (2, 2)), ffn=((256, 0), (256, 256)))
+
+    def test_head_assigned_to_two_chips(self):
+        with self._raises("head 1 assigned to two chips"):
+            self._dense(heads=((2, 0), (2, 1)), ffn=((256, 0), (256, 256)))
+
+    def test_head_assigned_to_no_chip(self):
+        with self._raises("head 1 assigned to no chip"):
+            BlockPartition._check_disjoint([(0, 1), (2, 2)], total=4, what="head")
+
+    def test_ffn_column_out_of_range(self):
+        with self._raises("FFN column index 512 out of range"):
+            self._dense(heads=((2, 0), (2, 2)), ffn=((256, 0), (256, 300)))
+
+    def test_ffn_column_assigned_to_two_chips(self):
+        # The second range starts before the first: its first index is
+        # free, the first clash is where the earlier range begins.
+        with self._raises("FFN column 100 assigned to two chips"):
+            self._dense(heads=((2, 0), (2, 2)), ffn=((412, 100), (100, 50)))
+
+    def test_ffn_column_assigned_to_no_chip(self):
+        with self._raises("FFN column 256 assigned to no chip"):
+            BlockPartition._check_disjoint(
+                [(0, 256), (300, 212)], total=512, what="FFN column"
+            )
+
+    def test_expert_out_of_range(self):
+        with self._raises("expert index 4 out of range"):
+            self._moe(experts=((2, 0), (2, 3)))
+
+    def test_expert_assigned_to_two_chips(self):
+        with self._raises("expert 1 assigned to two chips"):
+            self._moe(experts=((2, 0), (2, 1)))
+
+    def test_expert_assigned_to_no_chip(self):
+        with self._raises("expert 1 assigned to no chip"):
+            self._moe(experts=((1, 0), (2, 2)))
+
+    def test_clash_is_reported_before_a_later_out_of_range_index(self):
+        with self._raises("expert 3 assigned to two chips"):
+            self._moe(experts=((1, 3), (4, 1)))
+
+    def test_empty_and_negative_lengths_claim_nothing(self):
+        BlockPartition._check_disjoint(
+            [(0, 2), (7, 0), (-5, -1), (2, 2)], total=4, what="head"
+        )
 
 
 class TestKvHeadCoverage:

@@ -15,12 +15,20 @@ import pytest
 from repro.dse.engine import Candidate
 from repro.dse.objectives import get_objective
 from repro.dse.searchers import (
+    _PointEncoder,
     get_searcher,
     list_searchers,
     register_searcher,
     unregister_searcher,
 )
-from repro.dse.space import ChoiceAxis, FloatAxis, SearchSpace, point_key
+from repro.dse.space import (
+    ChoiceAxis,
+    FloatAxis,
+    IntAxis,
+    SearchSpace,
+    default_space,
+    point_key,
+)
 from repro.errors import ConfigurationError, UnknownSearcherError
 
 OBJECTIVES = (get_objective("latency"), get_objective("hw_cost"))
@@ -151,3 +159,74 @@ class TestStochasticSearchers:
             make_space(), evaluate, OBJECTIVES, budget=1, rng=random.Random(0)
         )
         assert len(visited) == 1
+
+
+def _reference_encoding(space: SearchSpace, point) -> list:
+    """The surrogate's point encoding, derived afresh from each axis."""
+    vector = []
+    for axis in space.axes:
+        value = point[axis.name]
+        choices = getattr(axis, "choices", None)
+        if choices is not None and any(
+            isinstance(choice, bool) or not isinstance(choice, (int, float))
+            for choice in choices
+        ):
+            index = next(i for i, choice in enumerate(choices) if choice == value)
+            vector.append(index / max(1, len(choices) - 1))
+            continue
+        values = (
+            choices
+            if choices is not None
+            else (
+                axis.levels
+                if getattr(axis, "levels", None) is not None
+                else (axis.low, axis.high)
+            )
+        )
+        low = float(min(values))
+        high = float(max(values))
+        span = high - low
+        vector.append((float(value) - low) / span if span > 0 else 0.5)
+    return vector
+
+
+def _dse_scale_space() -> SearchSpace:
+    from repro.spec.studies import get_study
+
+    (stage,) = get_study("dse-scale").stages
+    return stage.spec.space.build()
+
+
+def _mixed_space() -> SearchSpace:
+    """Every axis kind the shipped spaces lack."""
+    return SearchSpace(
+        axes=(
+            IntAxis("cores", 2, 16, step=2),
+            IntAxis("one_int", 7, 7),
+            FloatAxis("freq", 123.5, 987.25),
+            FloatAxis("flat", 3.0, 3.0),
+            ChoiceAxis("flags", (True, False, "auto")),
+            ChoiceAxis("single", ("only",)),
+            ChoiceAxis("mixed_numbers", (3, 0.5, -2)),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "space_factory", [default_space, _dse_scale_space, _mixed_space],
+    ids=["default", "dse-scale", "mixed"],
+)
+def test_point_encoder_matches_the_per_axis_formula(space_factory):
+    space = space_factory()
+    encoder = _PointEncoder(space)
+    rng = random.Random(11)
+    base = space.sample(rng)
+    points = [space.sample(rng) for _ in range(50)]
+    for axis in space.axes:
+        if isinstance(axis, FloatAxis) and axis.levels is None:
+            values = [axis.low, axis.high] + [axis.sample(rng) for _ in range(20)]
+        else:
+            values = list(axis.values())
+        points += [{**base, axis.name: value} for value in values]
+    for point in points:
+        assert encoder.encode(point) == _reference_encoding(space, point)

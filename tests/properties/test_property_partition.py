@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partition import partition_block, split_evenly
+from repro.core.partition import BlockPartition, partition_block, split_evenly
+from repro.errors import PartitioningError
 from repro.graph.transformer import TransformerConfig
 
 
@@ -96,3 +97,49 @@ def test_partition_is_deterministic(config):
     assert [chip.head_offset for chip in first.chips] == [
         chip.head_offset for chip in second.chips
     ]
+
+
+def _walk_every_index(ranges, total, what):
+    """The per-index coverage check the interval check must agree with."""
+    covered = [False] * total
+    for offset, length in ranges:
+        for index in range(offset, offset + length):
+            if index < 0 or index >= total:
+                return f"{what} index {index} out of range"
+            if covered[index]:
+                return f"{what} {index} assigned to two chips"
+            covered[index] = True
+    if not all(covered):
+        return f"{what} {covered.index(False)} assigned to no chip"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(min_value=0, max_value=24),
+    ranges=st.lists(
+        st.tuples(
+            st.integers(min_value=-3, max_value=26),
+            st.integers(min_value=-2, max_value=12),
+        ),
+        max_size=6,
+    ),
+)
+def test_interval_coverage_check_matches_a_walk_of_every_index(total, ranges):
+    try:
+        BlockPartition._check_disjoint(ranges, total=total, what="head")
+        message = None
+    except PartitioningError as error:
+        message = str(error)
+    assert message == _walk_every_index(ranges, total, "head")
+
+
+@settings(max_examples=100, deadline=None)
+@given(total=st.integers(min_value=1, max_value=4096),
+       parts=st.integers(min_value=1, max_value=64))
+def test_contiguous_even_splits_pass_the_coverage_check(total, parts):
+    shares = split_evenly(total, parts)
+    offsets = [sum(shares[:index]) for index in range(parts)]
+    # Any chip order: the check must not depend on ranges being sorted.
+    ranges = list(zip(offsets, shares))[::-1]
+    BlockPartition._check_disjoint(ranges, total=total, what="FFN column")
